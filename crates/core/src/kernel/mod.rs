@@ -32,7 +32,7 @@ use crate::fifo::{FifoFullError, DEFAULT_CROSSING_CYCLES};
 use crate::message::{MessageAssembler, MsgKind, Ordering, RequestMsg, ResponseMsg};
 use crate::transaction::{Cmd, RespStatus, TransactionResponse};
 use noc_sim::engine::ClockedWith;
-use noc_sim::header::MAX_HEADER_CREDITS;
+use noc_sim::header::{MAX_HEADER_CREDITS, MAX_QUEUES};
 use noc_sim::{LinkWord, NiLink, PacketHeader, Path, WordClass, SLOT_WORDS};
 use regs::{RegAddr, CTRL_ENABLE, CTRL_GT};
 use sched::ArbState;
@@ -454,9 +454,17 @@ impl NiKernel {
     /// Services the configuration port: one word in or out per cycle
     /// (a memory-mapped slave operating at line rate).
     fn service_cnip(&mut self, now: u64) {
-        let Some(mut cnip) = self.cnip.take() else {
+        // Nothing to drain, consume or execute: leave the state in place.
+        let Some(cnip) = &self.cnip else {
             return;
         };
+        if cnip.out.is_empty()
+            && cnip.asm.ready() == 0
+            && self.channels[cnip.channel].dst_q.peek(now).is_none()
+        {
+            return;
+        }
+        let mut cnip = self.cnip.take().expect("CNIP state checked above");
         // Drain one staged response word into the source queue.
         if let Some(&w) = cnip.out.front() {
             if self.push_src(cnip.channel, w, now).is_ok() {
@@ -540,6 +548,19 @@ impl NiKernel {
 
     fn build_packets(&mut self, cycle: u64) {
         let slot = ((cycle / SLOT_WORDS) % self.spec.stu_slots as u64) as usize;
+        // Idle packetizer: with no source data and no owed credits on any
+        // channel, no channel is eligible — a reserved slot passes unused
+        // (as `skip` counts it) and BE arbitration has no candidate.
+        if self
+            .channels
+            .iter()
+            .all(|c| c.src_q.is_empty() && c.credit_counter == 0)
+        {
+            if self.tx_gt.is_empty() && self.slot_table[slot] != 0 {
+                self.stats.gt_slots_unused += 1;
+            }
+            return;
+        }
         // GT: the slot's owner gets the slot (and any consecutive run).
         if self.tx_gt.is_empty() {
             if let Some(ch) = self.slot_table[slot].checked_sub(1).map(|c| c as usize) {
@@ -567,24 +588,28 @@ impl NiKernel {
         // BE: arbitrate among eligible BE channels (whose packets can make
         // progress within the packet-length limit — see `packet_fits`).
         if self.tx_be.is_empty() {
-            let eligible: Vec<usize> = (0..self.channels.len())
-                .filter(|&ch| {
-                    let c = &self.channels[ch];
-                    c.enabled
-                        && !c.gt
-                        && c.eligible(cycle)
-                        && self.packet_fits(ch, self.spec.max_packet_words, cycle)
-                })
-                .collect();
-            let sendables: Vec<usize> = (0..self.channels.len())
-                .map(|ch| self.channels[ch].sendable(cycle))
-                .collect();
-            if let Some(ch) = self
-                .arb
-                .pick(&self.spec.arb, self.channels.len(), &eligible, |ch| {
-                    sendables[ch]
-                })
-            {
+            // Channel ids fit the header's qid field (checked in `new`), so
+            // the candidate list lives on the stack.
+            let mut eligible = [0usize; MAX_QUEUES];
+            let mut candidates = 0;
+            for ch in 0..self.channels.len() {
+                let c = &self.channels[ch];
+                if c.enabled
+                    && !c.gt
+                    && c.eligible(cycle)
+                    && self.packet_fits(ch, self.spec.max_packet_words, cycle)
+                {
+                    eligible[candidates] = ch;
+                    candidates += 1;
+                }
+            }
+            let channels = &self.channels;
+            if let Some(ch) = self.arb.pick(
+                &self.spec.arb,
+                channels.len(),
+                &eligible[..candidates],
+                |ch| channels[ch].sendable(cycle),
+            ) {
                 let budget = self.spec.max_packet_words;
                 let mut q = std::mem::take(&mut self.tx_be);
                 self.build_packet_into(ch, WordClass::BestEffort, budget, cycle, &mut q);
@@ -616,12 +641,12 @@ impl NiKernel {
         } else {
             0
         };
-        let header = PacketHeader {
-            path: Path::decode(c.path_bits()),
-            qid: c.remote_qid(),
+        let header = PacketHeader::pack_encoded(
+            Path::canonical_encoded(c.path_bits()),
+            c.remote_qid(),
             credits,
-            flush: c.flush_remaining > 0,
-        };
+            c.flush_remaining > 0,
+        );
         c.credit_counter -= credits;
         c.credit_flush = c.credit_flush && c.credit_counter > 0;
         c.space -= payload as u32;
@@ -638,9 +663,9 @@ impl NiKernel {
             c.stats.credit_only_tx += 1;
         }
         if payload == 0 && ext == 0 {
-            words.push_back(LinkWord::header_only(header.pack(), class));
+            words.push_back(LinkWord::header_only(header, class));
         } else {
-            words.push_back(LinkWord::header(header.pack(), class));
+            words.push_back(LinkWord::header(header, class));
             for k in 0..ext {
                 words.push_back(LinkWord::payload(
                     c.ext_bits(k),
@@ -1464,6 +1489,51 @@ mod tests {
         // No data at all: every pass over slots 0-1 counts unused.
         run(&mut noc, &mut k0, &mut k1, 48); // two table periods
         assert!(k0.stats().gt_slots_unused >= 2);
+    }
+
+    #[test]
+    fn idle_packetizer_counts_unused_slots_like_the_full_build() {
+        // NI0 of the paired GT setup owns slots 0-1; also reserve slot 5 so
+        // each rotation mixes owned runs with free slots.
+        let (_noc, mut idle, _k1, _) = paired_setup(true);
+        idle.reg_write(slot_reg_addr(5), 2).unwrap();
+        // `gated` holds credits below its threshold on the owning channel
+        // and on a BE channel: nothing is eligible, but the packetizer can
+        // no longer take the idle fast path and runs the full build.
+        let mut gated = idle.clone();
+        let mut skipped = idle.clone();
+        gated
+            .reg_write(chan_reg_addr(1, ChanReg::CreditThreshold), 4)
+            .unwrap();
+        gated.channels[1].credit_counter = 3;
+        gated
+            .reg_write(chan_reg_addr(2, ChanReg::Ctrl), CTRL_ENABLE)
+            .unwrap();
+        gated
+            .reg_write(
+                chan_reg_addr(2, ChanReg::PathRqid),
+                pack_path_rqid(&Path::new(&[1]).unwrap(), 2),
+            )
+            .unwrap();
+        gated
+            .reg_write(chan_reg_addr(2, ChanReg::CreditThreshold), 4)
+            .unwrap();
+        gated.channels[2].credit_counter = 1;
+        let rotations = 5;
+        let cycles = rotations * idle.spec.stu_slots as u64 * SLOT_WORDS;
+        for cycle in (0..cycles).step_by(SLOT_WORDS as usize) {
+            idle.build_packets(cycle);
+            gated.build_packets(cycle);
+            let unused = idle.stats().gt_slots_unused;
+            assert_eq!(unused, gated.stats().gt_slots_unused, "cycle {cycle}");
+        }
+        ClockedWith::<NiLink>::skip(&mut skipped, 0, cycles);
+        assert_eq!(idle.stats().gt_slots_unused, 3 * rotations);
+        assert_eq!(skipped.stats().gt_slots_unused, 3 * rotations);
+        assert_eq!(idle.stats().packets_tx, [0, 0]);
+        assert_eq!(gated.stats().packets_tx, [0, 0]);
+        assert!(idle.tx_gt.is_empty() && idle.tx_be.is_empty());
+        assert!(gated.tx_gt.is_empty() && gated.tx_be.is_empty());
     }
 
     #[test]

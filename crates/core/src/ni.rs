@@ -263,15 +263,14 @@ impl noc_sim::Persist for Ni {
 /// seed's hand-rolled loop.
 impl ClockedWith<NiLink> for Ni {
     fn absorb(&mut self, link: &mut NiLink, cycle: u64) {
-        for (p, stack) in self.stacks.iter_mut().enumerate() {
-            if !self.clocks[p].ticks_at(cycle) {
-                continue;
-            }
+        for (stack, clock) in self.stacks.iter_mut().zip(&self.clocks) {
             match stack {
-                PortStack::Raw | PortStack::Cnip => {}
-                PortStack::Master(m) => m.tick(&mut self.kernel, cycle),
-                PortStack::Slave(s) => s.tick(&mut self.kernel, cycle),
-                PortStack::Config(c) => c.tick(&mut self.kernel, cycle),
+                PortStack::Master(m) if clock.ticks_at(cycle) => m.tick(&mut self.kernel, cycle),
+                PortStack::Slave(s) if clock.ticks_at(cycle) => s.tick(&mut self.kernel, cycle),
+                PortStack::Config(c) if clock.ticks_at(cycle) => c.tick(&mut self.kernel, cycle),
+                // Raw and CNIP ports carry no shell, so their clock is
+                // never consulted; shells tick only on their port's edges.
+                _ => {}
             }
         }
         self.kernel.absorb(link, cycle);

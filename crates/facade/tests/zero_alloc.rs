@@ -13,14 +13,34 @@
 //! boundary words and credits move through the preallocated
 //! [`aethereal::sim::shard::WireRing`] arena — written in place at emit,
 //! consumed in place at absorb — so a fused sharded run must be exactly as
-//! allocation-free as the monolithic one.
+//! allocation-free as the monolithic one. The NI kernel's packetizer and
+//! arbiter keep their per-slot state on the stack, so a whole `NocSystem`
+//! of raw NIs is pinned allocation-free too.
+//!
+//! The counter is process-global — it must see allocations made on the
+//! worker threads of `run_parallel` — while libtest runs tests
+//! concurrently. Every test therefore holds [`SERIAL`] for its whole body,
+//! so no other test's setup or teardown lands inside a counting window.
 
 use aethereal::sim::shard::{wires_of, NocShard, Partition, ShardRunner};
 use aethereal::sim::{LinkWord, Noc, PacketHeader, Topology, WordClass};
+use aethereal_bench::{gt_received, gt_stream_mesh, single_received, stream_mesh, MeshTraffic};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// Serializes the tests of this file (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes the file-wide test lock. A test that panicked while holding it
+/// poisons it; the lock guards no data, so later tests carry on.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 struct CountingAllocator;
 
@@ -47,6 +67,7 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 #[test]
 fn steady_state_noc_tick_allocates_nothing() {
+    let _serial = serial();
     // Saturate a 2x2 mesh with BE single-word packets plus a periodic GT
     // flit so both datapaths (wormhole queues and the GT calendar) are hot.
     let topo = Topology::mesh(2, 2, 1);
@@ -164,6 +185,7 @@ fn pump(shards: &mut [NocShard], cycle: u64, be: u32, gt: u32) -> u64 {
 
 #[test]
 fn steady_state_fused_shard_exchange_allocates_nothing() {
+    let _serial = serial();
     let (mut shards, mut runner, be, gt) = fused_split();
     let drive = |shards: &mut [NocShard], runner: &mut ShardRunner, from: u64, cycles: u64| {
         let mut delivered = 0u64;
@@ -190,6 +212,7 @@ fn steady_state_fused_shard_exchange_allocates_nothing() {
 
 #[test]
 fn parallel_shard_exchange_allocation_is_per_call_not_per_cycle() {
+    let _serial = serial();
     // `run_parallel` pays a fixed per-call cost (scoped thread spawns); the
     // pipelined per-cycle exchange itself — watermark publishes, ring
     // writes, due-slot consumption, idle virtual cycles — must contribute
@@ -232,6 +255,7 @@ fn parallel_shard_exchange_allocation_is_per_call_not_per_cycle() {
 
 #[test]
 fn quiescent_skip_allocates_nothing() {
+    let _serial = serial();
     let topo = Topology::mesh(2, 2, 1);
     let mut noc = Noc::new(&topo);
     noc.run(10); // settle
@@ -241,4 +265,46 @@ fn quiescent_skip_allocates_nothing() {
     assert_eq!(allocs, 0, "the quiescent fast path must not allocate");
     assert_eq!(noc.cycle(), 1_000_010);
     assert_eq!(noc.stats().cycles, 1_000_010);
+}
+
+#[test]
+fn steady_state_ni_system_run_allocates_nothing() {
+    let _serial = serial();
+    // Raw NIs streaming BE words across an 8x8 mesh: the kernels packetize
+    // at every slot boundary, arbitrate, depacketize and return credits.
+    let (mut be, _, sinks) = stream_mesh(8, 8, MeshTraffic::Uniform);
+    be.run(2_000);
+    let received = single_received(&be, &sinks);
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    be.run(10_000);
+    let allocs = ALLOC_CALLS.load(Ordering::SeqCst) - before;
+    let delivered = single_received(&be, &sinks) - received;
+    assert!(
+        delivered > 10_000,
+        "BE traffic actually flowed: {delivered}"
+    );
+    assert_eq!(
+        allocs, 0,
+        "a BE NocSystem::run must not touch the allocator"
+    );
+    // GT streams in reserved slots, ticked cycle by cycle (fast-forward
+    // off): slot-table ownership, unused-slot accounting, credit-only
+    // packets on the reverse channels.
+    let mut gt = gt_stream_mesh(8, 8, 8);
+    gt.set_fast_forward(false);
+    gt.run(2_000);
+    let received = gt_received(&gt, 8, 8);
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    gt.run(10_000);
+    let allocs = ALLOC_CALLS.load(Ordering::SeqCst) - before;
+    let delivered = gt_received(&gt, 8, 8) - received;
+    assert!(
+        delivered > 10_000,
+        "GT traffic actually flowed: {delivered}"
+    );
+    assert_eq!(
+        allocs, 0,
+        "a GT NocSystem::run must not touch the allocator"
+    );
+    assert_eq!(gt.noc.gt_conflicts(), 0);
 }

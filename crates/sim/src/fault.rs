@@ -1,16 +1,16 @@
 //! Deterministic, seedable fault injection.
 //!
 //! A [`FaultPlan`] is a schedule of fault events — link stuck/flaky windows,
-//! router stalls, credit loss, slot-table bit corruption — that a [`Noc`]
-//! arms via [`Noc::arm_faults`]. Armed faults hook the **emit** phase: after
-//! each router produces its cycle's emissions, the active events filter (or
-//! corrupt) the words and best-effort credit returns crossing the faulty
-//! port, before they reach a wire, boundary register or exchange-arena ring.
-//! Because the filter acts at the emission site — keyed by the router's
-//! *global* id, which survives [`Noc::split`] — a fault on a cut wire
-//! produces exactly the same word stream whether the network runs
-//! monolithically or sharded: the arena ring simply never sees the dropped
-//! word.
+//! router stalls, credit loss, slot-table bit corruption — that a
+//! [`Noc`](crate::Noc) arms via [`Noc::arm_faults`](crate::Noc::arm_faults).
+//! Armed faults hook the **emit** phase: after each router produces its
+//! cycle's emissions, the active events filter (or corrupt) the words and
+//! best-effort credit returns crossing the faulty port, before they reach a
+//! wire, boundary register or exchange-arena ring. Because the filter acts
+//! at the emission site — keyed by the router's *global* id, which survives
+//! [`Noc::split`](crate::Noc::split) — a fault on a cut wire produces
+//! exactly the same word stream whether the network runs monolithically or
+//! sharded: the arena ring simply never sees the dropped word.
 //!
 //! Everything is deterministic. Probabilistic events ([`FaultKind::LinkFlaky`])
 //! roll a per-event [`Rng64`] seeded from the plan seed and the event's plan

@@ -77,20 +77,31 @@ impl PacketHeader {
     /// Panics if `credits` exceeds [`MAX_HEADER_CREDITS`] or `qid` is not
     /// below [`MAX_QUEUES`]; both are NI invariants enforced upstream.
     pub fn pack(&self) -> Word {
+        Self::pack_encoded(self.path.encode(), self.qid, self.credits, self.flush)
+    }
+
+    /// Packs a header whose path is already encoded — the NI packetizer's
+    /// allocation-free form of [`PacketHeader::pack`]. `path_bits` must be
+    /// a canonical encoding ([`Path::canonical_encoded`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `credits` exceeds [`MAX_HEADER_CREDITS`] or `qid` is not
+    /// below [`MAX_QUEUES`].
+    pub fn pack_encoded(path_bits: u32, qid: u8, credits: u32, flush: bool) -> Word {
         assert!(
-            self.credits <= MAX_HEADER_CREDITS,
-            "credits {} exceed the {CREDIT_BITS}-bit header field",
-            self.credits
+            credits <= MAX_HEADER_CREDITS,
+            "credits {credits} exceed the {CREDIT_BITS}-bit header field"
         );
         assert!(
-            usize::from(self.qid) < MAX_QUEUES,
-            "qid {} exceeds the {QID_BITS}-bit header field",
-            self.qid
+            usize::from(qid) < MAX_QUEUES,
+            "qid {qid} exceeds the {QID_BITS}-bit header field"
         );
-        (self.credits << CREDIT_SHIFT)
-            | (u32::from(self.flush) << FLUSH_SHIFT)
-            | (u32::from(self.qid) << QID_SHIFT)
-            | self.path.encode()
+        debug_assert_eq!(path_bits, Path::canonical_encoded(path_bits));
+        (credits << CREDIT_SHIFT)
+            | (u32::from(flush) << FLUSH_SHIFT)
+            | (u32::from(qid) << QID_SHIFT)
+            | path_bits
     }
 
     /// Unpacks a header from a 32-bit word.
@@ -127,6 +138,30 @@ mod tests {
             qid: 3,
             credits: 12,
             flush: true,
+        }
+    }
+
+    /// The packetizer packs headers straight from a channel's route
+    /// register: for every 21-bit route pattern the encoded form must equal
+    /// the `Path::decode`/`encode` round trip it replaces, alone and inside
+    /// a packed header.
+    #[test]
+    fn encoded_pack_matches_decode_encode_for_every_route_pattern() {
+        for bits in 0..1u32 << PATH_BITS {
+            let canonical = Path::canonical_encoded(bits);
+            let path = Path::decode(bits);
+            assert_eq!(canonical, path.encode(), "route bits {bits:#08x}");
+            let header = PacketHeader {
+                path,
+                qid: 7,
+                credits: 19,
+                flush: bits % 2 == 1,
+            };
+            assert_eq!(
+                PacketHeader::pack_encoded(canonical, 7, 19, bits % 2 == 1),
+                header.pack(),
+                "route bits {bits:#08x}"
+            );
         }
     }
 

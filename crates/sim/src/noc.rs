@@ -154,6 +154,18 @@ pub struct Noc {
     /// Reusable per-tick scratch (cleared every cycle): keeps the
     /// steady-state tick free of allocations.
     scratch: TickScratch,
+    /// Link-id bitset of the wires carrying a word this cycle: emit sets
+    /// the bit of every wire it loads, absorb walks the set bits in
+    /// ascending id order — the order of a full link scan — and clears
+    /// them, so the set is empty at every cycle boundary.
+    wire_bits: Vec<u64>,
+    /// Router bitset of the routers holding a queued BE word or a GT
+    /// calendar entry ([`Router::may_emit`]) — the only routers whose emit
+    /// can produce anything. Set by every absorb into a router, cleared by
+    /// an emit that leaves the router with neither. Derived state: the
+    /// persist walk rebuilds it (and `wire_bits`) from the restored
+    /// routers and wires.
+    busy_routers: Vec<u64>,
     /// Armed fault-injection machinery (see [`crate::fault`]): when
     /// present, the emit phase filters each router's emissions and BE
     /// credit returns through the active fault windows. `None` (the
@@ -292,6 +304,8 @@ impl Noc {
             cycle: 0,
             stats: NocStats::new(n_links),
             scratch: TickScratch::default(),
+            wire_bits: vec![0; n_links.div_ceil(64)],
+            busy_routers: vec![0; nr.div_ceil(64)],
             fault: None,
         }
     }
@@ -686,7 +700,7 @@ impl Noc {
     /// all empty, routers holding at most scheduled GT emissions.
     fn calendar_dormant(&self) -> bool {
         self.routers.iter().all(Router::calendar_idle)
-            && self.links.iter().all(|l| l.wire.is_none())
+            && self.wire_bits.iter().all(|&w| w == 0)
             && self
                 .ni_links
                 .iter()
@@ -899,16 +913,42 @@ impl Noc {
         if let Some(f) = &mut self.fault {
             f.persist(p);
         }
+        // Derived activity sets: re-derived from the walked wires and
+        // routers, never serialized.
+        self.rebuild_activity();
+    }
+
+    /// Recomputes the derived activity bitsets (`wire_bits`,
+    /// `busy_routers`) from the wires and routers they summarize.
+    fn rebuild_activity(&mut self) {
+        self.wire_bits.fill(0);
+        for (l, link) in self.links.iter().enumerate() {
+            if link.wire.is_some() {
+                set_bit(&mut self.wire_bits, l);
+            }
+        }
+        self.busy_routers.fill(0);
+        for (r, router) in self.routers.iter().enumerate() {
+            if router.may_emit() {
+                set_bit(&mut self.busy_routers, r);
+            }
+        }
     }
 
     /// The earliest due cycle across every router's GT calendar (`u64::MAX`
-    /// when all calendars are empty).
+    /// when all calendars are empty). Only busy routers can hold calendar
+    /// entries, so only they are consulted.
     pub fn next_gt_due(&self) -> u64 {
-        self.routers
-            .iter()
-            .map(Router::next_gt_due)
-            .min()
-            .unwrap_or(u64::MAX)
+        let mut due = u64::MAX;
+        for (k, &word) in self.busy_routers.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let r = k * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                due = due.min(self.routers[r].next_gt_due());
+            }
+        }
+        due
     }
 
     /// Advances the network by one cycle (emit, then absorb — a thin
@@ -953,47 +993,21 @@ impl Clocked for Noc {
         // handle is moved out for the phase so boundary state stays
         // borrowable).
         let exchange = self.exchange.take();
-        // Routers.
-        for r in 0..self.routers.len() {
-            let mut result = std::mem::take(&mut self.scratch.emit);
-            self.routers[r].emit_into(cycle, &mut result);
-            if fault_active {
-                let rid = self.routers[r].id();
-                if let Some(f) = &mut self.fault {
-                    f.filter(rid, cycle, &mut result);
+        // Busy routers, in ascending id order. An idle router's emit
+        // produces nothing (no queued BE word, no calendar entry) and the
+        // fault filter leaves an empty result empty, so skipping it is
+        // exact; the order among the routers that do emit is unchanged.
+        for k in 0..self.busy_routers.len() {
+            let mut rest = self.busy_routers[k];
+            while rest != 0 {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                let r = k * 64 + bit as usize;
+                self.emit_router(r, cycle, fault_active, exchange.as_ref());
+                if !self.routers[r].may_emit() {
+                    self.busy_routers[k] &= !(1 << bit);
                 }
             }
-            for e in &result.emissions {
-                if let Some(l) = self.out_link[r][e.port as usize] {
-                    debug_assert!(self.links[l].wire.is_none());
-                    self.links[l].wire = Some(e.word);
-                } else if let Some(b) = self.boundary_at[r][e.port as usize] {
-                    if let Some(x) = &exchange {
-                        x.out_ring(b).send_word(cycle, e.word);
-                    } else {
-                        debug_assert!(self.boundaries[b].out_word.is_none());
-                        self.boundaries[b].out_word = Some(e.word);
-                        Self::mark_boundary_dirty(&mut self.boundaries, &mut self.dirty_out, b);
-                    }
-                }
-            }
-            for &input in &result.be_dequeues {
-                // A dequeue at a boundary input earns its credit for the
-                // *remote* producer: export it now so the exchange delivers
-                // it into the same cycle's absorb, exactly like the
-                // wired-link return below.
-                if let Some(b) = self.boundary_at[r][input as usize] {
-                    if let Some(x) = &exchange {
-                        x.out_ring(b).send_credits(cycle, 1);
-                    } else {
-                        self.boundaries[b].out_credits += 1;
-                        Self::mark_boundary_dirty(&mut self.boundaries, &mut self.dirty_out, b);
-                    }
-                } else {
-                    self.scratch.credit_returns.push((r, input));
-                }
-            }
-            self.scratch.emit = result;
         }
         self.exchange = exchange;
         // NIs.
@@ -1002,6 +1016,7 @@ impl Clocked for Noc {
                 let l = self.ni_out_link[ni];
                 debug_assert!(self.links[l].wire.is_none());
                 self.links[l].wire = Some(word);
+                set_bit(&mut self.wire_bits, l);
             }
         }
     }
@@ -1021,7 +1036,7 @@ impl Clocked for Noc {
             let (r, p) = (bp.router, bp.port);
             if let Some(word) = bp.in_word.take() {
                 bp.stats.record(word.class(), word.is_header());
-                self.routers[r].absorb(p, word, cycle);
+                self.absorb_into_router(r, p, word, cycle);
             }
             for _ in 0..std::mem::take(&mut self.boundaries[b].in_credits) {
                 self.routers[r].add_out_credit(p);
@@ -1039,7 +1054,7 @@ impl Clocked for Noc {
                     let (r, p) = (bp.router, bp.port);
                     if let Some(word) = word {
                         bp.stats.record(word.class(), word.is_header());
-                        self.routers[r].absorb(p, word, cycle);
+                        self.absorb_into_router(r, p, word, cycle);
                     }
                     for _ in 0..credits {
                         self.routers[r].add_out_credit(p);
@@ -1048,23 +1063,31 @@ impl Clocked for Noc {
             }
         }
         self.exchange = exchange;
-        for l in 0..self.links.len() {
-            let Some(word) = self.links[l].wire.take() else {
-                continue;
-            };
-            self.stats.links[l].record(word.class(), word.is_header());
-            match self.links[l].dst {
-                Endpoint::Router { router, port } => {
-                    self.routers[router].absorb(port, word, cycle);
-                }
-                Endpoint::Ni { ni } => {
-                    let handle = &mut self.ni_links[ni];
-                    if handle.incoming.push_back(word).is_ok() {
-                        self.stats.delivered[word.class().index()] += 1;
-                    } else {
-                        // NI failed to drain: account as BE overflow; the
-                        // invariant tests require this to stay zero.
-                        self.stats.be_overflows += 1;
+        // Loaded wires only, in ascending link id order (the set bits of
+        // `wire_bits`, cleared as they are consumed).
+        for k in 0..self.wire_bits.len() {
+            let mut rest = std::mem::take(&mut self.wire_bits[k]);
+            while rest != 0 {
+                let l = k * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let word = self.links[l]
+                    .wire
+                    .take()
+                    .expect("wire bit set for a loaded wire");
+                self.stats.links[l].record(word.class(), word.is_header());
+                match self.links[l].dst {
+                    Endpoint::Router { router, port } => {
+                        self.absorb_into_router(router, port, word, cycle);
+                    }
+                    Endpoint::Ni { ni } => {
+                        let handle = &mut self.ni_links[ni];
+                        if handle.incoming.push_back(word).is_ok() {
+                            self.stats.delivered[word.class().index()] += 1;
+                        } else {
+                            // NI failed to drain: account as BE overflow;
+                            // the invariant tests require this to stay zero.
+                            self.stats.be_overflows += 1;
+                        }
                     }
                 }
             }
@@ -1081,7 +1104,6 @@ impl Clocked for Noc {
                 None => {}
             }
         }
-        self.stats.gt_conflicts = self.gt_conflicts();
         self.cycle += 1;
         self.stats.cycles = self.cycle;
     }
@@ -1112,7 +1134,77 @@ impl Clocked for Noc {
         );
         self.cycle += cycles;
         self.stats.cycles = self.cycle;
-        self.stats.gt_conflicts = self.gt_conflicts();
+    }
+}
+
+/// Sets bit `i` of a bitset stored as 64-bit words.
+#[inline]
+fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+impl Noc {
+    /// Emit of router `r`: its words go onto wires (or boundary registers
+    /// or arena rings), its BE dequeues earn upstream credits, and the GT
+    /// conflicts it records are added to [`NocStats::gt_conflicts`].
+    fn emit_router(
+        &mut self,
+        r: usize,
+        cycle: u64,
+        fault_active: bool,
+        exchange: Option<&crate::shard::ExchangeAttachment>,
+    ) {
+        let mut result = std::mem::take(&mut self.scratch.emit);
+        let conflicts_before = self.routers[r].gt_conflicts();
+        self.routers[r].emit_into(cycle, &mut result);
+        self.stats.gt_conflicts += self.routers[r].gt_conflicts() - conflicts_before;
+        if fault_active {
+            let rid = self.routers[r].id();
+            if let Some(f) = &mut self.fault {
+                f.filter(rid, cycle, &mut result);
+            }
+        }
+        for e in &result.emissions {
+            if let Some(l) = self.out_link[r][e.port as usize] {
+                debug_assert!(self.links[l].wire.is_none());
+                self.links[l].wire = Some(e.word);
+                set_bit(&mut self.wire_bits, l);
+            } else if let Some(b) = self.boundary_at[r][e.port as usize] {
+                if let Some(x) = exchange {
+                    x.out_ring(b).send_word(cycle, e.word);
+                } else {
+                    debug_assert!(self.boundaries[b].out_word.is_none());
+                    self.boundaries[b].out_word = Some(e.word);
+                    Self::mark_boundary_dirty(&mut self.boundaries, &mut self.dirty_out, b);
+                }
+            }
+        }
+        for &input in &result.be_dequeues {
+            // A dequeue at a boundary input earns its credit for the
+            // *remote* producer: export it now so the exchange delivers it
+            // into the same cycle's absorb, exactly like the wired-link
+            // return.
+            if let Some(b) = self.boundary_at[r][input as usize] {
+                if let Some(x) = exchange {
+                    x.out_ring(b).send_credits(cycle, 1);
+                } else {
+                    self.boundaries[b].out_credits += 1;
+                    Self::mark_boundary_dirty(&mut self.boundaries, &mut self.dirty_out, b);
+                }
+            } else {
+                self.scratch.credit_returns.push((r, input));
+            }
+        }
+        self.scratch.emit = result;
+    }
+
+    /// Registers `word` at input `port` of router `r`, marking the router
+    /// busy: an absorbed word is queued BE data or a calendar entry, or —
+    /// a held gateway header or a dropped orphan — leaves the router idle,
+    /// which its next emit detects and clears.
+    fn absorb_into_router(&mut self, r: usize, port: PortIdx, word: LinkWord, cycle: u64) {
+        self.routers[r].absorb(port, word, cycle);
+        set_bit(&mut self.busy_routers, r);
     }
 }
 
@@ -1284,6 +1376,104 @@ mod tests {
             noc.gt_conflicts() > 0,
             "engineered slot collision must be detected"
         );
+    }
+
+    /// Injects one colliding pair: NI0's single-word GT header (qid 0)
+    /// reaches router 1 over the router 0 → 1 link in the same cycle as
+    /// NI1's (qid 1) arrives over its NI link, and both are due on router
+    /// 1's south output one slot later. Starts and ends on a slot boundary.
+    fn inject_collision(noc: &mut Noc, topo: &Topology, mut tick: impl FnMut(&mut Noc)) {
+        let h0 = gt_packet(topo.route(0, 3).unwrap(), 0, &[]);
+        let h1 = gt_packet(topo.route(1, 3).unwrap(), 1, &[]);
+        noc.ni_link_mut(0).send(h0[0]);
+        for _ in 0..SLOT_WORDS {
+            tick(noc);
+        }
+        noc.ni_link_mut(1).send(h1[0]);
+        for _ in 0..SLOT_WORDS {
+            tick(noc);
+        }
+    }
+
+    #[test]
+    fn colliding_gt_flows_keep_the_lower_link_id_winner() {
+        // Absorb registers wires in ascending link id order and the calendar
+        // keeps arrival order, so the word on the inter-router link (edge
+        // links precede NI links) takes the output and the NI1 word is the
+        // one counted and dropped.
+        let topo = Topology::mesh(2, 2, 1);
+        let mut noc = Noc::new(&topo);
+        inject_collision(&mut noc, &topo, Noc::tick);
+        noc.run(30);
+        let got = drain(&mut noc, 3);
+        assert_eq!(got.len(), 1, "one word survives the collision");
+        assert_eq!(PacketHeader::unpack(got[0].word()).qid, 0);
+        assert_eq!(noc.gt_conflicts(), 1);
+        assert_eq!(noc.stats().gt_conflicts, 1);
+    }
+
+    #[test]
+    fn stats_gt_conflicts_match_router_sum_across_cycles_split_and_restore() {
+        use crate::persist::{Persist, StateLoader, StateSaver};
+        use crate::shard::{wires_of, ShardRunner};
+        let checked = |noc: &mut Noc| {
+            noc.tick();
+            assert_eq!(noc.stats().gt_conflicts, noc.gt_conflicts());
+        };
+        let topo = Topology::mesh(2, 2, 1);
+        let mut noc = Noc::new(&topo);
+        for _ in 0..3 {
+            inject_collision(&mut noc, &topo, checked);
+        }
+        for _ in 0..30 {
+            checked(&mut noc);
+        }
+        assert_eq!(noc.gt_conflicts(), 3);
+        drain(&mut noc, 3);
+        // Restore onto a fresh network: the counter and the router sum
+        // travel together and keep agreeing as collisions continue.
+        let mut saver = StateSaver::new();
+        noc.persist(&mut saver);
+        let mut restored = Noc::new(&topo);
+        let mut loader = StateLoader::new(saver.finish().unwrap());
+        restored.persist(&mut loader);
+        loader.finish().unwrap();
+        assert_eq!(restored.stats().gt_conflicts, 3);
+        inject_collision(&mut restored, &topo, checked);
+        for _ in 0..30 {
+            checked(&mut restored);
+        }
+        assert_eq!(restored.gt_conflicts(), 4);
+        // Split: every region starts with its own routers' sum and keeps it
+        // while the shard runner drives a collision inside region 0.
+        drain(&mut restored, 3);
+        let partition = Partition::new(vec![0, 0, 1, 1]).unwrap();
+        let mut shards = restored.split(&topo, &partition);
+        let mut runner = ShardRunner::new(2, wires_of(&shards), shards[0].noc.cycle());
+        runner.fuse(&mut shards);
+        let agree = |shards: &[NocShard]| {
+            for s in shards {
+                assert_eq!(s.noc.stats().gt_conflicts, s.noc.gt_conflicts());
+            }
+        };
+        agree(&shards);
+        let h0 = gt_packet(topo.route(0, 3).unwrap(), 0, &[]);
+        let h1 = gt_packet(topo.route(1, 3).unwrap(), 1, &[]);
+        // Direct NI injection bypasses the activity scheduler: wake first.
+        runner.wake(&mut shards, 0);
+        shards[0].noc.ni_link_mut(0).send(h0[0]);
+        for _ in 0..SLOT_WORDS {
+            runner.run(&mut shards, 1);
+            agree(&shards);
+        }
+        runner.wake(&mut shards, 0);
+        shards[0].noc.ni_link_mut(1).send(h1[0]);
+        for _ in 0..30 {
+            runner.run(&mut shards, 1);
+            agree(&shards);
+        }
+        let total: u64 = shards.iter().map(|s| s.noc.stats().gt_conflicts).sum();
+        assert_eq!(total, 5);
     }
 
     #[test]

@@ -185,6 +185,19 @@ impl Path {
         Path { hops }
     }
 
+    /// The canonical form of the low [`PATH_BITS`] bits of `bits`: the hops
+    /// before the first terminator kept, every slot from there on the
+    /// terminator — exactly `Path::decode(bits).encode()`, without building
+    /// the hop list.
+    pub fn canonical_encoded(bits: u32) -> u32 {
+        let mut hops = 0;
+        while hops < MAX_HOPS as u32 && (bits >> (HOP_BITS * hops)) & HOP_END != HOP_END {
+            hops += 1;
+        }
+        let kept = (1u32 << (HOP_BITS * hops)) - 1;
+        (bits & kept) | (((1u32 << PATH_BITS) - 1) & !kept)
+    }
+
     /// The port a router should take for the low-order hop of an encoded
     /// path, or `None` on the terminator.
     pub fn peek_encoded(bits: u32) -> Option<PortIdx> {

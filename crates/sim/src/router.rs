@@ -230,6 +230,13 @@ impl Router {
         self.be_q.iter().all(Ring::is_empty) && self.gt_hold.iter().all(Option::is_none)
     }
 
+    /// Whether [`Router::emit_into`] can produce anything: some input
+    /// queues a BE word or some output has a scheduled GT emission.
+    /// Otherwise its ready mask is empty and emit changes nothing.
+    pub(crate) fn may_emit(&self) -> bool {
+        self.gt_mask != 0 || self.be_q.iter().any(|q| !q.is_empty())
+    }
+
     /// The earliest due cycle across all scheduled GT emissions, or
     /// `u64::MAX` when every calendar is empty. Each per-output calendar is
     /// due-ordered, so only the fronts of the ready outputs are consulted.

@@ -1033,13 +1033,17 @@ pub fn run_worker<R: ShardRegion, S: SyncFamily>(
 ///
 /// 1. **emit** on every awake region (a sleeping region is quiescent by
 ///    definition, and a quiescent emit is a no-op — so skipping it is
-///    exact);
-/// 2. **exchange**: each region's boundary-dirty list is drained — only
-///    wires that actually carried a word or credits this cycle cost any
-///    work — and delivered to the destination shard for this cycle's
-///    absorb; a sleeping destination is woken first (caught up with one
-///    exact [`Clocked::skip`], its no-op emit run late);
-/// 3. **absorb** on every awake region.
+///    exact). A fused region (see [`ShardRunner::fuse`]) writes every
+///    cut-wire word and exported BE credit in place into that wire's
+///    preallocated [`WireRing`] in the shared [`BoundaryArena`], stamped
+///    with the cycle it is due;
+/// 2. **exchange**: nothing is copied — the runner only checks the wires
+///    a region produces onto for a slot due this cycle whose destination
+///    sleeps, and wakes that destination first (caught up with one exact
+///    [`Clocked::skip`], its no-op emit run late). Regions that were never
+///    fused fall back to draining their boundary-dirty lists word by word;
+/// 3. **absorb** on every awake region, each consuming its inbound rings'
+///    slots at exactly their stamped cycle.
 ///
 /// Activity-set maintenance is amortized over
 /// [`batch`](ShardRunner::set_batch)-sized epochs: only at an epoch

@@ -14,9 +14,11 @@
 //! * `.unwrap()` is forbidden in `sim`, `core` and `cfg` library code
 //!   (tests are exempt); use `.expect("why this cannot fail")` so every
 //!   panic site documents its invariant.
-//! * `Vec::new` / `Box::new` / `vec![` inside `tick` / `emit` / `absorb`
-//!   function bodies are flagged — the hot per-cycle paths are
-//!   allocation-free by design (see `crates/facade/tests/zero_alloc.rs`).
+//! * `Vec::new` / `Box::new` / `vec![` / `.collect()` inside the bodies of
+//!   the per-cycle functions ([`HOT_FNS`]: `tick` / `emit` / `absorb` and
+//!   the router and NI-kernel helpers they call every cycle) are flagged —
+//!   the hot per-cycle paths are allocation-free by design (see
+//!   `crates/facade/tests/zero_alloc.rs`).
 //! * `.tick()` inside a loop is forbidden in library code outside the two
 //!   sanctioned drivers (`sim/src/engine.rs`, `sim/src/shard.rs`) — a
 //!   hand-rolled cycle loop silently bypasses the engine's quiescent skip
@@ -45,8 +47,23 @@ const NO_UNWRAP_CRATES: &[&str] = &["sim", "core", "cfg"];
 const BARRIER: &str = concat!("std::sync::", "Barrier");
 const UNWRAP: &str = concat!(".unwrap", "()");
 
-/// Hot per-cycle entry points that must stay allocation-free.
-const HOT_FNS: &[&str] = &["tick", "emit", "absorb"];
+/// Hot per-cycle functions that must stay allocation-free: the engine
+/// phases plus the router and NI-kernel helpers they run every cycle (or
+/// every slot boundary).
+const HOT_FNS: &[&str] = &[
+    "tick",
+    "emit",
+    "absorb",
+    "emit_into",
+    "build_packets",
+    "build_packet_into",
+    "depacketize",
+    "service_cnip",
+    "stage_word",
+];
+
+/// Allocating patterns flagged inside [`HOT_FNS`] bodies.
+const HOT_ALLOC_PATTERNS: &[&str] = &["Vec::new", "Box::new", "vec![", ".collect(", ".collect::<"];
 
 /// Assembled at compile time so the scanner never matches its own source.
 const TICK_CALL: &str = concat!(".tick", "()");
@@ -76,7 +93,10 @@ const CYCLE_LOOP_FILES: &[&str] = &[
 const PERSIST_AUDIT: &[(&str, &str, usize)] = &[
     ("sim/src/rng.rs", "Rng64", 1),
     ("sim/src/router.rs", "Router", 16),
-    ("sim/src/noc.rs", "Noc", 16),
+    // Noc: 16 walked fields plus the derived activity bitsets
+    // (`wire_bits`, `busy_routers`), which the walk rebuilds instead of
+    // serializing.
+    ("sim/src/noc.rs", "Noc", 18),
     ("sim/src/fault.rs", "FaultState", 2),
     ("sim/src/fault.rs", "ArmedFault", 6),
     ("sim/src/shard.rs", "ShardRunner", 12),
@@ -453,7 +473,7 @@ fn scan_file(krate: &str, file: &Path, text: &str, findings: &mut Vec<Finding>) 
                 loop_at = Some(depth);
             }
             if let Some((_, name)) = hot_fn {
-                for pat in ["Vec::new", "Box::new", "vec!["] {
+                for pat in HOT_ALLOC_PATTERNS {
                     if line.contains(pat) {
                         findings.push(Finding {
                             file: file.to_path_buf(),
@@ -494,5 +514,37 @@ fn strip_comment(line: &str) -> &str {
     match line.find("//") {
         Some(pos) => &line[..pos],
         None => line,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn hot_path_findings(src: &str) -> Vec<String> {
+        let mut findings = Vec::new();
+        scan_file("core", Path::new("kernel.rs"), src, &mut findings);
+        findings
+            .into_iter()
+            .filter(|f| f.rule == "hot-path-alloc")
+            .map(|f| f.detail)
+            .collect()
+    }
+
+    #[test]
+    fn collect_inside_a_per_cycle_helper_is_flagged() {
+        let src = "impl K {\n    fn build_packets(&mut self, cycle: u64) {\n        \
+                   let eligible = (0..4).filter(|&c| c > 1).collect::<Vec<_>>();\n    \
+                   }\n}\n";
+        let found = hot_path_findings(src);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains(".collect") && found[0].contains("build_packets"));
+    }
+
+    #[test]
+    fn collect_outside_hot_functions_is_allowed() {
+        let src = "fn setup() -> Vec<u32> {\n    (0..4).collect()\n}\n\
+                   fn build_packets_report() {\n    let _ = (0..4).collect::<Vec<u32>>();\n}\n";
+        assert!(hot_path_findings(src).is_empty());
     }
 }
